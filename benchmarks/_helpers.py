@@ -18,17 +18,20 @@ __all__ = [
     "persist_timings",
 ]
 
-#: Environment override for where :func:`persist_timings` accumulates records.
+#: Environment variable naming the ledger :func:`persist_timings` appends to;
+#: unset, nothing is written.  Records are the same schema-versioned JSONL
+#: format the CLI's ``--ledger`` emits, so benchmark telemetry and production
+#: telemetry share one format (and one ``gprs-repro report`` /
+#: :func:`repro.obs.compare` toolchain).  The committed history lives in
+#: ``benchmarks/BENCH_repetition.jsonl``; point the variable there to extend it.
 BENCH_FILE_ENV = "GPRS_REPRO_BENCH_FILE"
-#: Default timing ledger, next to the benchmark modules.  Records are the
-#: same schema-versioned JSONL format the CLI's ``--ledger`` emits, so
-#: benchmark telemetry and production telemetry share one format (and one
-#: ``gprs-repro report`` / :func:`repro.obs.compare` toolchain).
-BENCH_FILE = Path(__file__).with_name("BENCH_repetition.jsonl")
 
 
 def persist_timings(name: str, record: dict, *, wall_s: float = 0.0) -> Path | None:
     """Append one run-ledger record for benchmark ``name``.
+
+    Only when ``GPRS_REPRO_BENCH_FILE`` names a ledger: a plain test run
+    measures without writing anything, so it never modifies tracked files.
 
     ``record``'s integer values become ledger counters and its float values
     ledger gauges, so two records of the same benchmark diff through
@@ -38,10 +41,9 @@ def persist_timings(name: str, record: dict, *, wall_s: float = 0.0) -> Path | N
     one is printed (visible with ``pytest -s`` and in CI logs) -- repeated
     runs accumulate a perf trajectory with built-in regression diffs.
 
-    Persistence is best effort: an unwritable ledger (read-only checkout,
-    sandboxed CI) returns ``None`` and never fails the benchmark that
-    produced the numbers.  Override the path with the
-    ``GPRS_REPRO_BENCH_FILE`` environment variable.
+    Persistence is best effort: an unset variable or an unwritable ledger
+    (read-only checkout, sandboxed CI) returns ``None`` and never fails the
+    benchmark that produced the numbers.
 
     Every record carries the process's cumulative resilience counters
     (retries, timeouts, pool respawns, degradation to serial) in its
@@ -52,7 +54,10 @@ def persist_timings(name: str, record: dict, *, wall_s: float = 0.0) -> Path | N
     store: a benchmark that unknowingly replayed warm store entries times
     the replay path, not the solve it claims to measure.
     """
-    path = Path(os.environ.get(BENCH_FILE_ENV) or BENCH_FILE)
+    target = os.environ.get(BENCH_FILE_ENV)
+    if not target:
+        return None
+    path = Path(target)
     counters = {
         key: value
         for key, value in record.items()

@@ -3,7 +3,9 @@ memoisation, pipelined network scheduling.
 
 Three independent hot paths waste work repeated across nearly-identical
 solves; each gets an A/B benchmark here, and each records its numbers in the
-``BENCH_repetition.jsonl`` run ledger (see ``_helpers.persist_timings``):
+run ledger named by ``GPRS_REPRO_BENCH_FILE`` when it is set (see
+``_helpers.persist_timings``; the committed history is
+``BENCH_repetition.jsonl``):
 
 * ``test_coarse_correction_sweep_count_k100`` -- at the paper's buffer depth
   (K=100) the two-level coarse-space correction must cut the structured

@@ -6,19 +6,26 @@ mixture of powers of the uniformised DTMC,
     pi(t) = sum_{k >= 0} PoissonPMF(k; Lambda t) * pi(0) P^k,
 
 with ``P = I + Q / Lambda`` and ``Lambda >= max_i |q_ii|``.  The series is
-truncated once the accumulated Poisson weight exceeds ``1 - tol``.
+truncated to the window :func:`poisson_window` keeping all but ``tol`` of the
+Poisson mass, so one series covers any horizon.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.markov.solvers import uniformization_rate
 
-__all__ = ["uniformize", "transient_distribution", "poisson_truncation_point"]
+__all__ = [
+    "poisson_truncation_point",
+    "poisson_window",
+    "transient_distribution",
+    "uniformize",
+    "uniformized_series",
+]
 
 
 def uniformize(generator, rate: float | None = None) -> tuple[sp.csr_matrix, float]:
@@ -116,6 +123,63 @@ def poisson_truncation_point(mean: float, tol: float) -> int:
     return k
 
 
+def poisson_window(mean: float, tol: float) -> tuple[int, int, np.ndarray]:
+    """Return the Fox-Glynn window ``(L, R, w)`` of the Poisson(``mean``) PMF.
+
+    ``w[k - L]`` approximates ``PoissonPMF(k; mean)`` for ``L <= k <= R`` and
+    the window drops at most ``tol / 2`` of mass on each side.  Following
+    Fox & Glynn ("Computing Poisson probabilities", CACM 31(4), 1988) the
+    weights are built outward from the mode by the PMF recurrence, starting
+    from 1 at the mode, and normalised by their own sum: no ``exp(-mean)``
+    is ever formed, so nothing underflows at any mean.  The recurrence runs
+    ``12 sqrt(mean) + 30`` terms left of the mode (the left tail beyond is
+    below ``exp(-72)``); ``R`` is :func:`poisson_truncation_point` at
+    ``tol / 2``.
+    """
+    if mean < 0:
+        raise ValueError("mean must be non-negative")
+    mode = int(mean)
+    right = max(mode, poisson_truncation_point(mean, tol / 2.0))
+    low = max(0, mode - int(12.0 * np.sqrt(mean) + 30.0))
+    # Ratios w[k] / w[k + 1] = (k + 1) / mean walking down from the mode, and
+    # w[k + 1] / w[k] = mean / (k + 1) walking up to R.
+    down = np.cumprod(np.arange(mode, low, -1, dtype=float) / mean)[::-1]
+    up = np.cumprod(mean / np.arange(mode + 1, right + 1, dtype=float))
+    weights = np.concatenate((down, [1.0], up))
+    weights /= weights.sum()
+    # Trim the left tail: drop the leading weights whose mass is <= tol / 2.
+    cut = int(np.searchsorted(np.cumsum(weights), tol / 2.0, side="right"))
+    return low + cut, right, weights[cut:]
+
+
+def uniformized_series(
+    step: Callable[[np.ndarray], np.ndarray],
+    pi: np.ndarray,
+    mean: float,
+    tol: float,
+    *,
+    first_step: np.ndarray | None = None,
+) -> np.ndarray:
+    """Return ``sum_{k=L..R} w_k pi P^k`` over the :func:`poisson_window`.
+
+    ``step`` applies the uniformised DTMC, ``v -> v P``; it is called ``R``
+    times (``R - 1`` when ``first_step`` supplies a precomputed ``pi P``),
+    and terms left of ``L`` are propagated but never accumulated.  The result
+    is renormalised to unit mass, which accounts for the truncated tails.
+    """
+    left, right, weights = poisson_window(mean, tol)
+    result = weights[0] * pi if left == 0 else np.zeros_like(pi)
+    term = pi
+    for k in range(1, right + 1):
+        term = first_step if k == 1 and first_step is not None else step(term)
+        if k >= left:
+            result += weights[k - left] * term
+    total = result.sum()
+    if total > 0:
+        result /= total
+    return result
+
+
 def transient_distribution(
     generator,
     initial: np.ndarray | Sequence[float],
@@ -151,35 +215,5 @@ def transient_distribution(
         raise ValueError("initial distribution length does not match number of states")
     if time == 0:
         return pi0.copy()
-
-    # For long horizons the Poisson weights of a single expansion underflow
-    # (exp(-lam * t) vanishes), so the horizon is split into steps with a
-    # bounded uniformisation mean and the distribution is propagated step by
-    # step: pi(t) = pi(t/n) applied n times.
-    mean = lam * time
-    max_step_mean = 200.0
-    if mean > max_step_mean:
-        steps = int(np.ceil(mean / max_step_mean))
-        step_time = time / steps
-        current = pi0.copy()
-        for _ in range(steps):
-            current = transient_distribution(generator, current, step_time, tol=tol)
-        return current
-
-    truncation = poisson_truncation_point(mean, tol)
-
-    result = np.zeros_like(pi0)
-    term = pi0.copy()
-    log_weight = -mean  # log of Poisson PMF at k = 0
-    weight = np.exp(log_weight)
-    result += weight * term
-    for k in range(1, truncation + 1):
-        term = term @ p
-        weight *= mean / k
-        if weight > 0:
-            result += weight * term
-    # Account for the truncated tail by renormalising.
-    total = result.sum()
-    if total > 0:
-        result /= total
-    return result
+    pt = p.T.tocsr()
+    return uniformized_series(pt.dot, pi0, lam * time, tol)

@@ -18,12 +18,12 @@ the chain is time-homogeneous, so the solve walks the schedule:
    standard closure for slowly varying loads).
 3. **Adaptive uniformisation.**  Within a segment the distribution advances
    from sample time to sample time by the uniformised Poisson series
-   (:mod:`repro.markov.transient`), with the horizon split into bounded-mean
-   steps.  Before each advance the stationarity residual ``||pi P - pi||_inf``
-   is measured; once it falls below ``steady_state_tol`` the distribution is
-   numerically invariant for the remainder of the segment and all further
-   matrix-vector products are skipped (the early stop that makes long
-   constant tails free).
+   (:mod:`repro.markov.transient`), one Fox-Glynn-weighted series per
+   advance whatever its length.  Before each advance the stationarity
+   residual ``||pi P - pi||_inf`` is measured; once it falls below
+   ``steady_state_tol`` the distribution is numerically invariant for the
+   remainder of the segment and all further matrix-vector products are
+   skipped (the early stop that makes long constant tails free).
 4. **Distribution carried across breakpoints.**  At a segment boundary the
    state distribution continues unchanged.  If the segment changes the
    state-space *shape* (an outage dropping channels, a buffer resize), the
@@ -53,7 +53,7 @@ from repro.core.model import GprsMarkovModel
 from repro.core.parameters import GprsModelParameters
 from repro.core.state_space import GprsStateSpace
 from repro.core.template import GeneratorTemplate
-from repro.markov.transient import poisson_truncation_point, uniformize
+from repro.markov.transient import uniformize, uniformized_series
 from repro.obs.metrics import current_registry
 from repro.obs.trace import current_tracer
 from repro.transient.propagator import (
@@ -73,13 +73,12 @@ __all__ = ["SegmentTrace", "TrajectoryPoint", "TransientModel", "TransientResult
 class _SegmentPropagator:
     """Advances a distribution under one fixed generator via uniformisation."""
 
-    def __init__(self, generator, *, truncation_tol: float, max_step_mean: float):
+    def __init__(self, generator, *, truncation_tol: float):
         p, self.lam = uniformize(generator)
         # Row-vector products ``pi P`` dominate the cost; precompute the
         # transposed CSR so every product is a plain csr @ vector kernel.
         self._pt = p.T.tocsr()
         self._truncation_tol = truncation_tol
-        self._max_step_mean = max_step_mean
         self.matvecs = 0
 
     def step(self, pi: np.ndarray) -> np.ndarray:
@@ -90,7 +89,7 @@ class _SegmentPropagator:
     def advance(
         self, pi: np.ndarray, dt: float, first_step: np.ndarray | None = None
     ) -> np.ndarray:
-        """Propagate ``pi`` forward by ``dt`` seconds.
+        """Propagate ``pi`` forward by ``dt`` seconds (one Poisson series).
 
         ``first_step`` optionally supplies a precomputed ``pi P`` (the
         stationarity check's product) reused as the first series term, so the
@@ -98,37 +97,9 @@ class _SegmentPropagator:
         """
         if dt <= 0.0:
             return pi
-        mean_total = self.lam * dt
-        steps = max(1, int(np.ceil(mean_total / self._max_step_mean)))
-        step_dt = dt / steps
-        for index in range(steps):
-            pi = self._series(
-                pi, self.lam * step_dt, first_step if index == 0 else None
-            )
-        return pi
-
-    def _series(
-        self, pi: np.ndarray, mean: float, first_step: np.ndarray | None = None
-    ) -> np.ndarray:
-        truncation = poisson_truncation_point(mean, self._truncation_tol)
-        result = np.zeros_like(pi)
-        term = pi
-        weight = np.exp(-mean)
-        result += weight * term
-        for k in range(1, truncation + 1):
-            term = (
-                first_step
-                if k == 1 and first_step is not None
-                else self.step(term)
-            )
-            weight *= mean / k
-            if weight > 0:
-                result += weight * term
-        # Account for the truncated tail by renormalising.
-        total = result.sum()
-        if total > 0:
-            result /= total
-        return result
+        return uniformized_series(
+            self.step, pi, self.lam * dt, self._truncation_tol, first_step=first_step
+        )
 
 
 def _remap_distribution(
@@ -330,7 +301,7 @@ class TransientModel:
         Steady-state solver used for the ``"stationary"`` initial condition
         (see :class:`~repro.core.model.GprsMarkovModel`).
     truncation_tol:
-        Error bound of the truncated Poisson series per uniformisation step.
+        Poisson mass dropped by the truncated series of each advance.
     steady_state_tol:
         Stationarity residual ``||pi P - pi||_inf`` below which the remaining
         propagation of a segment is skipped (0 disables the early stop).
@@ -339,11 +310,6 @@ class TransientModel:
         ``residual * Lambda / gap`` away from the true fixed point, so
         tighten (or disable) the threshold when a trajectory must *converge*
         to a target accuracy rather than merely stop changing.
-    max_step_mean:
-        Largest Poisson mean per uniformisation step; longer horizons are
-        split to keep the series weights well-conditioned.  Capped at 700:
-        beyond that ``exp(-mean)`` underflows double precision and the series
-        weights would collapse to zero.
     share_templates:
         When ``False`` every segment enumerates its own fresh
         :class:`~repro.core.template.GeneratorTemplate` even if an earlier
@@ -374,7 +340,6 @@ class TransientModel:
         solver_tol: float = 1e-10,
         truncation_tol: float = 1e-12,
         steady_state_tol: float = 1e-9,
-        max_step_mean: float = 200.0,
         share_templates: bool = True,
         memoise_propagators: bool = True,
         propagator_cache: PropagatorCache | None = None,
@@ -385,17 +350,12 @@ class TransientModel:
             raise ValueError("truncation_tol must be positive")
         if steady_state_tol < 0:
             raise ValueError("steady_state_tol must be non-negative")
-        if not 0 < max_step_mean <= 700.0:
-            # exp(-mean) underflows at ~745; past it every series weight is
-            # exactly 0.0 and the step would return a zero distribution.
-            raise ValueError("max_step_mean must be in (0, 700]")
         self._profile = profile
         self._base = base_parameters
         self._solver = solver_method
         self._solver_tol = solver_tol
         self._truncation_tol = truncation_tol
         self._steady_tol = steady_state_tol
-        self._max_step_mean = max_step_mean
         self._share_templates = share_templates
         self._memoise = memoise_propagators
         self._propagator_cache = propagator_cache
@@ -597,7 +557,6 @@ class TransientModel:
                     gprs_handover_arrival_rate=balance.gprs_handover_arrival_rate,
                     truncation_tol=self._truncation_tol,
                     steady_state_tol=self._steady_tol,
-                    max_step_mean=self._max_step_mean,
                     intervals=tuple(intervals),
                     initial=pi,
                 )
@@ -635,9 +594,7 @@ class TransientModel:
                     gprs_handover_arrival_rate=balance.gprs_handover_arrival_rate,
                 )
                 propagator = _SegmentPropagator(
-                    generator,
-                    truncation_tol=self._truncation_tol,
-                    max_step_mean=self._max_step_mean,
+                    generator, truncation_tol=self._truncation_tol
                 )
 
                 def advance_to(target: float) -> None:

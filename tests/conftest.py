@@ -14,6 +14,12 @@ from repro.core.parameters import GprsModelParameters
 from repro.traffic.presets import TRAFFIC_MODEL_1, TRAFFIC_MODEL_3
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test taking tens of seconds (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):
     """Point the default result cache at a per-test directory.

@@ -8,8 +8,10 @@ from scipy.linalg import expm
 
 from repro.markov.transient import (
     poisson_truncation_point,
+    poisson_window,
     transient_distribution,
     uniformize,
+    uniformized_series,
 )
 
 
@@ -101,6 +103,102 @@ class TestPoissonTruncation:
         assert elapsed < 0.5  # the linear scan would need minutes
 
 
+class TestPoissonWindow:
+    @pytest.mark.parametrize("mean", [0.0, 0.5, 5.0, 31.9, 32.5, 100.0, 3180.0])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_window_covers_the_requested_mass(self, mean, tol):
+        from scipy.stats import poisson
+
+        left, right, weights = poisson_window(mean, tol)
+        assert weights.shape == (right - left + 1,)
+        covered = poisson.cdf(right, mean) - poisson.cdf(left - 1, mean)
+        assert covered >= 1 - tol
+        assert weights.sum() == pytest.approx(1.0, abs=tol)
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 5.0, 20.0])
+    def test_small_means_start_at_zero(self, mean):
+        left, _, _ = poisson_window(mean, 1e-12)
+        assert left == 0
+
+    def test_weights_match_the_poisson_pmf(self):
+        from scipy.stats import poisson
+
+        left, right, weights = poisson_window(250.0, 1e-12)
+        expected = poisson.pmf(np.arange(left, right + 1), 250.0)
+        assert weights == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("mean", [1e3, 1e5, 2e6])
+    def test_weights_do_not_underflow_at_large_means(self, mean):
+        """exp(-mean) underflows past ~745; the mode-centred weights never do."""
+        left, right, weights = poisson_window(mean, 1e-12)
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert left < mean < right
+        # The mode weight is the normal density's peak, 1 / sqrt(2 pi mean).
+        assert weights.max() == pytest.approx(1 / np.sqrt(2 * np.pi * mean), rel=1e-3)
+
+    def test_large_mean_window_is_cheap(self):
+        """Same time bound as the 5e6 truncation-point test."""
+        import time
+
+        start = time.perf_counter()
+        for _ in range(100):
+            poisson_window(2e6, 1e-12)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5
+
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ValueError):
+            poisson_window(-1.0, 1e-12)
+
+
+def birth_death_generator(states: int, birth: float, death: float) -> np.ndarray:
+    generator = np.zeros((states, states))
+    for i in range(states - 1):
+        generator[i, i + 1] = birth
+        generator[i + 1, i] = death
+    generator -= np.diag(generator.sum(axis=1))
+    return generator
+
+
+class TestUniformizedSeries:
+    @staticmethod
+    def counted_step(calls: list):
+        """``v -> v P`` of the three-state chain, appending to ``calls``."""
+        p, _ = uniformize(three_state_generator())
+        pt = p.T.tocsr()
+
+        def step(vector):
+            calls.append(1)
+            return pt @ vector
+
+        return step
+
+    def test_series_skips_terms_left_of_the_window(self):
+        """R products are taken, but only weights from L on are accumulated."""
+        _, lam = uniformize(three_state_generator())
+        calls = []
+        mean = 400.0
+        left, right, _ = poisson_window(mean, 1e-12)
+        assert left > 0
+        pi0 = np.array([1.0, 0.0, 0.0])
+        result = uniformized_series(self.counted_step(calls), pi0, mean, 1e-12)
+        assert len(calls) == right
+        expected = pi0 @ expm(three_state_generator() * (mean / lam))
+        assert result == pytest.approx(expected, abs=1e-12)
+
+    def test_first_step_replaces_the_first_product(self):
+        pi0 = np.array([0.2, 0.3, 0.5])
+        plain_calls, reused_calls = [], []
+        plain = uniformized_series(self.counted_step(plain_calls), pi0, 7.0, 1e-12)
+        first = self.counted_step([])(pi0)
+        reused = uniformized_series(
+            self.counted_step(reused_calls), pi0, 7.0, 1e-12, first_step=first
+        )
+        assert len(reused_calls) == len(plain_calls) - 1
+        assert np.array_equal(plain, reused)
+
+
 class TestTransientDistribution:
     def test_matches_matrix_exponential(self):
         generator = three_state_generator()
@@ -108,7 +206,19 @@ class TestTransientDistribution:
         for time in (0.1, 0.7, 2.5):
             expected = initial @ expm(generator * time)
             actual = transient_distribution(generator, initial, time)
-            assert actual == pytest.approx(expected, abs=1e-9)
+            assert actual == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_matrix_exponential_far_past_the_underflow_mean(self):
+        """One series covers Lambda t >> 745, where exp(-Lambda t) underflows."""
+        generator = birth_death_generator(50, birth=5.0, death=5.0)
+        initial = np.zeros(50)
+        initial[0] = 1.0
+        _, lam = uniformize(generator)
+        for time in (100.0, 400.0):
+            assert lam * time > 745.0
+            expected = initial @ expm(generator * time)
+            actual = transient_distribution(generator, initial, time)
+            assert actual == pytest.approx(expected, abs=1e-12)
 
     def test_time_zero_returns_initial(self):
         initial = np.array([0.2, 0.3, 0.5])

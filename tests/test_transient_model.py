@@ -82,6 +82,23 @@ class TestValidationAnchor:
         assert "PASS" in check.summary()
 
 
+class TestMatvecBudget:
+    def test_diurnal_smoke_matvec_count(self):
+        """One Poisson series per advance: the smoke diurnal-24h trajectory
+        at rate 0.5 costs 165,105 products.  Counts are deterministic, so an
+        upper bound catches a series that restarts or runs past its window."""
+        spec = scenario("diurnal-24h")
+        params = spec.parameters(ExperimentScale.smoke()).with_arrival_rate(0.5)
+        result = TransientModel(
+            spec.transient,
+            params,
+            solver_method=spec.solver,
+            solver_tol=1e-9,
+            memoise_propagators=False,
+        ).solve()
+        assert result.matvecs <= 170_000
+
+
 class TestSegmentContinuity:
     def test_split_segment_matches_single_segment(self):
         """A segment split in two at a breakpoint is the same workload: the
@@ -269,9 +286,3 @@ class TestResultShape:
             TransientModel(short_profile(), params, truncation_tol=0.0)
         with pytest.raises(ValueError, match="steady_state_tol"):
             TransientModel(short_profile(), params, steady_state_tol=-1.0)
-        with pytest.raises(ValueError, match="max_step_mean"):
-            TransientModel(short_profile(), params, max_step_mean=0.0)
-        # exp(-mean) underflows past ~745: the cap keeps the series weights
-        # representable (a larger step would yield a zero distribution).
-        with pytest.raises(ValueError, match="max_step_mean"):
-            TransientModel(short_profile(), params, max_step_mean=1000.0)
