@@ -27,34 +27,25 @@ Quickstart::
     print(solution.measures.carried_data_traffic)
 """
 
-from repro.core.handover import HandoverBalance, balance_handover_rates
-from repro.core.measures import GprsPerformanceMeasures, compute_measures
-from repro.core.model import GprsMarkovModel, GprsModelSolution
-from repro.core.parameters import GprsModelParameters
-from repro.core.state_space import GprsStateSpace
-from repro.traffic.presets import (
-    TRAFFIC_MODEL_1,
-    TRAFFIC_MODEL_2,
-    TRAFFIC_MODEL_3,
-    traffic_model,
-)
-from repro.traffic.session import PacketSessionModel
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GprsMarkovModel",
-    "GprsModelParameters",
-    "GprsModelSolution",
-    "GprsPerformanceMeasures",
-    "GprsStateSpace",
-    "HandoverBalance",
-    "PacketSessionModel",
-    "TRAFFIC_MODEL_1",
-    "TRAFFIC_MODEL_2",
-    "TRAFFIC_MODEL_3",
-    "__version__",
-    "balance_handover_rates",
-    "compute_measures",
-    "traffic_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core.handover": ("HandoverBalance", "balance_handover_rates"),
+        "core.measures": ("GprsPerformanceMeasures", "compute_measures"),
+        "core.model": ("GprsMarkovModel", "GprsModelSolution"),
+        "core.parameters": ("GprsModelParameters",),
+        "core.state_space": ("GprsStateSpace",),
+        "traffic.presets": (
+            "TRAFFIC_MODEL_1",
+            "TRAFFIC_MODEL_2",
+            "TRAFFIC_MODEL_3",
+            "traffic_model",
+        ),
+        "traffic.session": ("PacketSessionModel",),
+    },
+)
+__all__ += ["__version__"]

@@ -26,29 +26,23 @@ remains available; this package is the richer framework built around the same
 idea.
 """
 
-from repro.adaptive.controller import (
-    AdaptiveAllocationController,
-    ControllerDecision,
-    PolicyEvaluation,
-    evaluate_policy,
-)
-from repro.adaptive.policies import (
-    AllocationPolicy,
-    ModelDrivenPolicy,
-    StaticAllocationPolicy,
-    UtilizationThresholdPolicy,
-)
-from repro.adaptive.supervision import LoadObservation, LoadSupervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveAllocationController",
-    "AllocationPolicy",
-    "ControllerDecision",
-    "LoadObservation",
-    "LoadSupervisor",
-    "ModelDrivenPolicy",
-    "PolicyEvaluation",
-    "StaticAllocationPolicy",
-    "UtilizationThresholdPolicy",
-    "evaluate_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "controller": (
+            "AdaptiveAllocationController",
+            "ControllerDecision",
+            "PolicyEvaluation",
+            "evaluate_policy",
+        ),
+        "policies": (
+            "AllocationPolicy",
+            "ModelDrivenPolicy",
+            "StaticAllocationPolicy",
+            "UtilizationThresholdPolicy",
+        ),
+        "supervision": ("LoadObservation", "LoadSupervisor"),
+    },
+)

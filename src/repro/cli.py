@@ -75,23 +75,13 @@ import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core.model import GprsMarkovModel
-from repro.core.parameters import GprsModelParameters
-from repro.experiments.reporting import (
-    format_network_result,
-    format_scenario_result,
-    format_table,
-    format_transient_result,
-)
-from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.experiments.scale import ExperimentScale
-from repro.network.sweep import run_network_sweep
-from repro.transient.sweep import run_transient_sweep
-from repro.runtime import ResultCache, default_cache_dir, list_scenarios, run_sweep, scenario
-from repro.simulator.config import SimulationConfig, TcpConfig
-from repro.simulator.simulation import GprsNetworkSimulator
-from repro.traffic.presets import traffic_model
+# Each subcommand imports its own implementation: ``list`` and ``solve``
+# never pay for the simulator, the network/transient layers or the service.
+if TYPE_CHECKING:
+    from repro.core.parameters import GprsModelParameters
+    from repro.runtime.cache import ResultCache
 
 __all__ = ["main", "build_parser"]
 
@@ -415,6 +405,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cache_from_args(args: argparse.Namespace) -> ResultCache | None:
+    from repro.runtime.cache import ResultCache, default_cache_dir
+
     if args.no_cache:
         return None
     return ResultCache(args.cache_dir if args.cache_dir is not None else default_cache_dir())
@@ -497,6 +489,9 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _parameters_from_args(args: argparse.Namespace) -> GprsModelParameters:
+    from repro.core.parameters import GprsModelParameters
+    from repro.traffic.presets import traffic_model
+
     overrides = {
         "gprs_fraction": args.gprs_fraction,
         "reserved_pdch": args.reserved_pdch,
@@ -649,6 +644,8 @@ def _report_command(args: argparse.Namespace) -> int:
 def _spec_payload(args: argparse.Namespace):
     """The resolved spec a ledger record's digest is computed over."""
     if args.command in ("sweep", "network", "transient"):
+        from repro.runtime.registry import scenario
+
         try:
             return scenario(args.scenario).to_dict()
         except (KeyError, ValueError):
@@ -784,6 +781,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _execute(args: argparse.Namespace) -> int:
     """Dispatch one parsed command (shared by plain and instrumented runs)."""
     if args.command == "list":
+        from repro.experiments.runner import EXPERIMENTS
+        from repro.runtime.registry import list_scenarios
+
         sections = []
         if args.kind in (None, "figures"):
             sections.append(
@@ -819,7 +819,9 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "run":
-        from repro.runtime import execution_options
+        from repro.experiments.runner import run_experiment
+        from repro.experiments.scale import ExperimentScale
+        from repro.runtime.executor import execution_options
         from repro.runtime.resilience import SweepFailureError
 
         try:
@@ -845,6 +847,10 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "sweep":
+        from repro.experiments.reporting import format_scenario_result
+        from repro.experiments.scale import ExperimentScale
+        from repro.runtime.executor import run_sweep
+        from repro.runtime.registry import scenario
         from repro.runtime.resilience import SweepFailureError
 
         try:
@@ -875,6 +881,10 @@ def _execute(args: argparse.Namespace) -> int:
         return _report_failures(result.failures)
 
     if args.command == "network":
+        from repro.experiments.reporting import format_network_result
+        from repro.experiments.scale import ExperimentScale
+        from repro.network.sweep import run_network_sweep
+        from repro.runtime.registry import scenario
         from repro.runtime.resilience import SweepFailureError
 
         try:
@@ -910,7 +920,11 @@ def _execute(args: argparse.Namespace) -> int:
         return _report_failures(result.failures)
 
     if args.command == "transient":
+        from repro.experiments.reporting import format_transient_result
+        from repro.experiments.scale import ExperimentScale
+        from repro.runtime.registry import scenario
         from repro.runtime.resilience import SweepFailureError
+        from repro.transient.sweep import run_transient_sweep
 
         try:
             spec = scenario(args.scenario)
@@ -945,6 +959,9 @@ def _execute(args: argparse.Namespace) -> int:
         return _report_failures(result.failures)
 
     if args.command == "solve":
+        from repro.core.model import GprsMarkovModel
+        from repro.experiments.reporting import format_table
+
         params = _parameters_from_args(args)
         solution = GprsMarkovModel(params, solver_method=args.solver).solve()
         rows = solution.measures.as_dict()
@@ -957,6 +974,10 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "simulate":
+        from repro.experiments.reporting import format_table
+        from repro.simulator.config import SimulationConfig, TcpConfig
+        from repro.simulator.simulation import GprsNetworkSimulator
+
         params = _parameters_from_args(args)
         config = SimulationConfig(
             cell_parameters=params,

@@ -22,23 +22,17 @@ from the stationary distribution.
 Public entry point: :class:`~repro.core.model.GprsMarkovModel`.
 """
 
-from repro.core.handover import HandoverBalance, balance_handover_rates
-from repro.core.measures import GprsPerformanceMeasures, compute_measures
-from repro.core.model import GprsMarkovModel
-from repro.core.parameters import GprsModelParameters
-from repro.core.state_space import GprsStateSpace
-from repro.core.template import GeneratorTemplate
-from repro.core.transitions import TransitionBatch, enumerate_transitions
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeneratorTemplate",
-    "GprsMarkovModel",
-    "GprsModelParameters",
-    "GprsPerformanceMeasures",
-    "GprsStateSpace",
-    "HandoverBalance",
-    "TransitionBatch",
-    "balance_handover_rates",
-    "compute_measures",
-    "enumerate_transitions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "handover": ("HandoverBalance", "balance_handover_rates"),
+        "measures": ("GprsPerformanceMeasures", "compute_measures"),
+        "model": ("GprsMarkovModel",),
+        "parameters": ("GprsModelParameters",),
+        "state_space": ("GprsStateSpace",),
+        "template": ("GeneratorTemplate",),
+        "transitions": ("TransitionBatch", "enumerate_transitions"),
+    },
+)

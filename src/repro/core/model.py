@@ -26,6 +26,7 @@ from repro.core.handover import HandoverBalance, balance_handover_rates
 from repro.core.measures import GprsPerformanceMeasures, compute_measures
 from repro.core.parameters import GprsModelParameters
 from repro.core.state_space import GprsStateSpace
+from repro.core.structured_solver import StructuredSolveContext, solve_structured
 from repro.core.template import GeneratorTemplate
 from repro.markov.solvers import SolverError, SteadyStateResult, solve_steady_state
 from repro.obs.metrics import current_registry
@@ -83,8 +84,6 @@ def build_solver_scaffold(
     if solver == "structured" or (
         solver == "auto" and space.size > GprsMarkovModel._STRUCTURED_THRESHOLD
     ):
-        from repro.core.structured_solver import StructuredSolveContext
-
         context = StructuredSolveContext.build(params, space)
     return space, template, context
 
@@ -358,8 +357,6 @@ class GprsMarkovModel:
         return self._warm_start_used
 
     def _solve_structured(self, initial: np.ndarray | None) -> SteadyStateResult:
-        from repro.core.structured_solver import solve_structured
-
         handover = self.handover_balance
         return solve_structured(
             self._parameters,

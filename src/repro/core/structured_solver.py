@@ -72,6 +72,7 @@ does for the full generator.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,7 @@ from repro.markov.solvers import (
     solve_steady_state,
     steady_state_gth,
 )
+from repro.store.artifacts import artifact_key, current_store
 from repro.traffic.units import MAX_TIME_SLOTS_PER_STATION
 
 __all__ = ["StructuredSolveContext", "solve_structured", "build_phase_generator"]
@@ -630,13 +632,9 @@ class _CoarseCorrector:
     @staticmethod
     def _store_key(gid, weights, phase_off, phase_exit, context, levels, groups):
         """Resolve the ambient store and this corrector's artifact key."""
-        from repro.store.artifacts import artifact_key, current_store
-
         store = current_store()
         if store is None:
             return None, None
-        import hashlib
-
         digest = hashlib.sha256()
         for array in (
             gid,

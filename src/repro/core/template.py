@@ -56,6 +56,7 @@ from repro.core.state_space import GprsStateSpace
 from repro.core.transitions import enumerate_transitions
 from repro.obs.metrics import current_registry
 from repro.obs.trace import current_tracer
+from repro.store.artifacts import artifact_key, current_store
 
 __all__ = ["GeneratorTemplate"]
 
@@ -168,10 +169,6 @@ class GeneratorTemplate:
                 buffer_size=params.buffer_size,
                 max_sessions=params.max_gprs_sessions,
             )
-        # Lazy import: this module loads during ``import repro`` (via
-        # core.model), before the package finishes initialising.
-        from repro.store.artifacts import artifact_key, current_store
-
         store = current_store()
         key = None
         if store is not None:

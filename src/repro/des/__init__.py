@@ -17,28 +17,16 @@ modelling primitives:
   method used for the simulation curves in the paper.
 """
 
-from repro.des.batch_means import BatchMeansEstimator, ConfidenceInterval
-from repro.des.engine import SimulationEngine, SimulationError, Event
-from repro.des.process import Process, ProcessInterrupt, Timeout, WaitEvent
-from repro.des.random_variates import RandomVariateStream
-from repro.des.resources import Buffer, BufferOverflow, Resource
-from repro.des.statistics import Counter, Tally, TimeWeightedStatistic
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchMeansEstimator",
-    "Buffer",
-    "BufferOverflow",
-    "ConfidenceInterval",
-    "Counter",
-    "Event",
-    "Process",
-    "ProcessInterrupt",
-    "RandomVariateStream",
-    "Resource",
-    "SimulationEngine",
-    "SimulationError",
-    "Tally",
-    "TimeWeightedStatistic",
-    "Timeout",
-    "WaitEvent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "batch_means": ("BatchMeansEstimator", "ConfidenceInterval"),
+        "engine": ("SimulationEngine", "SimulationError", "Event"),
+        "process": ("Process", "ProcessInterrupt", "Timeout", "WaitEvent"),
+        "random_variates": ("RandomVariateStream",),
+        "resources": ("Buffer", "BufferOverflow", "Resource"),
+        "statistics": ("Counter", "Tally", "TimeWeightedStatistic"),
+    },
+)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
+from scipy.special import stdtrit
 
 __all__ = ["ConfidenceInterval", "BatchMeansEstimator"]
 
@@ -129,7 +129,8 @@ class BatchMeansEstimator:
             )
         variance = sum((value - grand_mean) ** 2 for value in self._batch_means) / (n - 1)
         standard_error = math.sqrt(variance / n)
-        quantile = stats.t.ppf(0.5 + self._confidence_level / 2.0, df=n - 1)
+        # The kernel behind scipy.stats.t.ppf, without importing scipy.stats.
+        quantile = stdtrit(n - 1, 0.5 + self._confidence_level / 2.0)
         return ConfidenceInterval(
             mean=grand_mean,
             half_width=float(quantile) * standard_error,

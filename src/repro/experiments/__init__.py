@@ -17,94 +17,56 @@ arrival-rate points) so that the complete benchmark suite finishes in CI time;
 pass ``scale=ExperimentScale.paper()`` for the full Table 2 / Table 3 sizes.
 """
 
-from repro.experiments.dimensioning import (
-    AdaptivePdchController,
-    AllocationDecision,
-    QosAssessment,
-    QosProfile,
-    evaluate_configuration,
-    maximum_supported_arrival_rate,
-    recommend_reserved_pdch,
-)
-from repro.experiments.extensions import (
-    AdaptiveComparison,
-    GuardChannelTradeoff,
-    LinkAdaptationPoint,
-    adaptive_policy_comparison,
-    arq_impact,
-    guard_channel_tradeoff,
-    link_adaptation_gain,
-)
-from repro.experiments.figures import (
-    FigureResult,
-    FigureSeries,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-)
-from repro.experiments.reporting import format_figure_result, format_table
-from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.experiments.scale import ExperimentScale
-from repro.experiments.sensitivity import (
-    SensitivityResult,
-    sweep_block_error_rate,
-    sweep_buffer_size,
-    sweep_coding_scheme,
-    sweep_gprs_dwell_time,
-    sweep_tcp_threshold,
-)
-from repro.experiments.sweep import SweepResult, sweep_arrival_rates
-from repro.experiments.tables import table2, table3
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveComparison",
-    "AdaptivePdchController",
-    "AllocationDecision",
-    "EXPERIMENTS",
-    "ExperimentScale",
-    "GuardChannelTradeoff",
-    "LinkAdaptationPoint",
-    "QosAssessment",
-    "QosProfile",
-    "FigureResult",
-    "FigureSeries",
-    "SensitivityResult",
-    "SweepResult",
-    "adaptive_policy_comparison",
-    "arq_impact",
-    "guard_channel_tradeoff",
-    "link_adaptation_gain",
-    "sweep_block_error_rate",
-    "sweep_buffer_size",
-    "sweep_coding_scheme",
-    "sweep_gprs_dwell_time",
-    "sweep_tcp_threshold",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure15",
-    "format_figure_result",
-    "format_table",
-    "evaluate_configuration",
-    "maximum_supported_arrival_rate",
-    "recommend_reserved_pdch",
-    "run_experiment",
-    "sweep_arrival_rates",
-    "table2",
-    "table3",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "dimensioning": (
+            "AdaptivePdchController",
+            "AllocationDecision",
+            "QosAssessment",
+            "QosProfile",
+            "evaluate_configuration",
+            "maximum_supported_arrival_rate",
+            "recommend_reserved_pdch",
+        ),
+        "extensions": (
+            "AdaptiveComparison",
+            "GuardChannelTradeoff",
+            "LinkAdaptationPoint",
+            "adaptive_policy_comparison",
+            "arq_impact",
+            "guard_channel_tradeoff",
+            "link_adaptation_gain",
+        ),
+        "figures": (
+            "FigureResult",
+            "FigureSeries",
+            "figure5",
+            "figure6",
+            "figure7",
+            "figure8",
+            "figure9",
+            "figure10",
+            "figure11",
+            "figure12",
+            "figure13",
+            "figure14",
+            "figure15",
+        ),
+        "reporting": ("format_figure_result", "format_table"),
+        "runner": ("EXPERIMENTS", "run_experiment"),
+        "scale": ("ExperimentScale",),
+        "sensitivity": (
+            "SensitivityResult",
+            "sweep_block_error_rate",
+            "sweep_buffer_size",
+            "sweep_coding_scheme",
+            "sweep_gprs_dwell_time",
+            "sweep_tcp_threshold",
+        ),
+        "sweep": ("SweepResult", "sweep_arrival_rates"),
+        "tables": ("table2", "table3"),
+    },
+)

@@ -13,9 +13,8 @@ import io
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
-from repro.experiments.figures import FigureResult
-
 if TYPE_CHECKING:
+    from repro.experiments.figures import FigureResult
     from repro.network.sweep import NetworkSweepResult
     from repro.runtime.executor import ScenarioRunResult
     from repro.transient.sweep import TransientSweepResult

@@ -13,12 +13,14 @@ from the content-addressed result cache (see :mod:`repro.runtime`).
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-from repro.experiments import figures, tables
+from repro.experiments import tables
 from repro.experiments.reporting import format_figure_result, format_table
 from repro.experiments.scale import ExperimentScale
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import execution_options
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
 
@@ -34,11 +36,12 @@ def _run_table3(_: ExperimentScale) -> str:
     return "\n\n".join(blocks)
 
 
-def _figure_runner(function: Callable[..., figures.FigureResult]) -> Callable[
-    [ExperimentScale], str
-]:
+def _figure_runner(name: str) -> Callable[[ExperimentScale], str]:
     def run(scale: ExperimentScale) -> str:
-        return format_figure_result(function(scale))
+        # figures imports the validation simulator: load it only to run one.
+        from repro.experiments import figures
+
+        return format_figure_result(getattr(figures, name)(scale))
 
     return run
 
@@ -47,17 +50,7 @@ def _figure_runner(function: Callable[..., figures.FigureResult]) -> Callable[
 EXPERIMENTS: dict[str, Callable[[ExperimentScale], str]] = {
     "table2": _run_table2,
     "table3": _run_table3,
-    "figure5": _figure_runner(figures.figure5),
-    "figure6": _figure_runner(figures.figure6),
-    "figure7": _figure_runner(figures.figure7),
-    "figure8": _figure_runner(figures.figure8),
-    "figure9": _figure_runner(figures.figure9),
-    "figure10": _figure_runner(figures.figure10),
-    "figure11": _figure_runner(figures.figure11),
-    "figure12": _figure_runner(figures.figure12),
-    "figure13": _figure_runner(figures.figure13),
-    "figure14": _figure_runner(figures.figure14),
-    "figure15": _figure_runner(figures.figure15),
+    **{f"figure{n}": _figure_runner(f"figure{n}") for n in range(5, 16)},
 }
 
 
@@ -103,7 +96,7 @@ def run_experiment(
         raise ValueError(
             f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}"
         ) from exc
-    from repro.runtime.executor import DEFAULT_CHUNK_SIZE
+    from repro.runtime.executor import DEFAULT_CHUNK_SIZE, execution_options
 
     with execution_options(
         jobs=jobs,

@@ -28,72 +28,45 @@ This subpackage provides the numerical machinery used by the GPRS model in
   (e.g. the time until a busy mobile leaves the cell).
 """
 
-from repro.markov.absorption import (
-    AbsorbingCtmcAnalysis,
-    absorption_probabilities,
-    expected_time_to_absorption,
-    first_passage_time_moments,
-)
-from repro.markov.birth_death import BirthDeathChain
-from repro.markov.map_process import MarkovianArrivalProcess, map_from_mmpp, superpose_maps
-from repro.markov.phase_type import (
-    PhaseTypeDistribution,
-    coxian_ph,
-    erlang_ph,
-    exponential_ph,
-    fit_two_moments,
-    hyperexponential_ph,
-)
-from repro.markov.qbd import QuasiBirthDeathProcess, solve_finite_level_chain
-from repro.markov.ctmc import ContinuousTimeMarkovChain
-from repro.markov.dtmc import DiscreteTimeMarkovChain
-from repro.markov.mmpp import (
-    InterruptedPoissonProcess,
-    MarkovModulatedPoissonProcess,
-    aggregate_identical_ipps,
-    superpose_mmpps,
-)
-from repro.markov.solvers import (
-    SolverError,
-    SteadyStateResult,
-    solve_steady_state,
-    steady_state_direct,
-    steady_state_gauss_seidel,
-    steady_state_gth,
-    steady_state_power,
-)
-from repro.markov.transient import transient_distribution, uniformize
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AbsorbingCtmcAnalysis",
-    "BirthDeathChain",
-    "ContinuousTimeMarkovChain",
-    "DiscreteTimeMarkovChain",
-    "InterruptedPoissonProcess",
-    "MarkovModulatedPoissonProcess",
-    "MarkovianArrivalProcess",
-    "PhaseTypeDistribution",
-    "QuasiBirthDeathProcess",
-    "SolverError",
-    "SteadyStateResult",
-    "absorption_probabilities",
-    "aggregate_identical_ipps",
-    "coxian_ph",
-    "erlang_ph",
-    "expected_time_to_absorption",
-    "exponential_ph",
-    "first_passage_time_moments",
-    "fit_two_moments",
-    "hyperexponential_ph",
-    "map_from_mmpp",
-    "solve_finite_level_chain",
-    "solve_steady_state",
-    "steady_state_direct",
-    "steady_state_gauss_seidel",
-    "steady_state_gth",
-    "steady_state_power",
-    "superpose_maps",
-    "superpose_mmpps",
-    "transient_distribution",
-    "uniformize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "absorption": (
+            "AbsorbingCtmcAnalysis",
+            "absorption_probabilities",
+            "expected_time_to_absorption",
+            "first_passage_time_moments",
+        ),
+        "birth_death": ("BirthDeathChain",),
+        "map_process": ("MarkovianArrivalProcess", "map_from_mmpp", "superpose_maps"),
+        "phase_type": (
+            "PhaseTypeDistribution",
+            "coxian_ph",
+            "erlang_ph",
+            "exponential_ph",
+            "fit_two_moments",
+            "hyperexponential_ph",
+        ),
+        "qbd": ("QuasiBirthDeathProcess", "solve_finite_level_chain"),
+        "ctmc": ("ContinuousTimeMarkovChain",),
+        "dtmc": ("DiscreteTimeMarkovChain",),
+        "mmpp": (
+            "InterruptedPoissonProcess",
+            "MarkovModulatedPoissonProcess",
+            "aggregate_identical_ipps",
+            "superpose_mmpps",
+        ),
+        "solvers": (
+            "SolverError",
+            "SteadyStateResult",
+            "solve_steady_state",
+            "steady_state_direct",
+            "steady_state_gauss_seidel",
+            "steady_state_gth",
+            "steady_state_power",
+        ),
+        "transient": ("transient_distribution", "uniformize"),
+    },
+)

@@ -16,6 +16,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import ndtri
 
 from repro.markov.solvers import uniformization_rate
 
@@ -96,8 +97,6 @@ def poisson_truncation_point(mean: float, tol: float) -> int:
         return k
 
     from math import lgamma, log, sqrt
-
-    from scipy.special import ndtri
 
     # Cornish-Fisher expansion of the Poisson quantile: the normal quantile z
     # corrected for the skewness 1 / sqrt(mean).

@@ -28,45 +28,35 @@ Quickstart::
     print(result.series("voice_blocking_probability"))
 """
 
-# topology has no intra-package dependencies, model depends on topology and
-# sweep on both.  Nothing here imports repro.runtime at module level (sweep
-# defers those imports into its functions): the runtime package reaches into
+# No submodule here imports repro.runtime at module level (sweep defers
+# those imports into its functions): the runtime package reaches into
 # repro.network.topology for its scenario registry, and the dependency must
 # stay one-directional for both packages to import standalone.
-from repro.network.topology import (
-    CELL_OVERRIDE_FIELDS,
-    CellTopology,
-    grid,
-    hexagonal_cluster,
-    hotspot,
-    ring,
-)
-from repro.network.model import (
-    CellSolution,
-    NetworkModel,
-    NetworkResult,
-    network_erlang_rates,
-)
-from repro.network.sweep import (
-    NetworkSweepPoint,
-    NetworkSweepResult,
-    network_sweep_payloads,
-    run_network_sweep,
-)
 
-__all__ = [
-    "CELL_OVERRIDE_FIELDS",
-    "CellSolution",
-    "CellTopology",
-    "NetworkModel",
-    "NetworkResult",
-    "NetworkSweepPoint",
-    "NetworkSweepResult",
-    "grid",
-    "hexagonal_cluster",
-    "hotspot",
-    "network_erlang_rates",
-    "network_sweep_payloads",
-    "ring",
-    "run_network_sweep",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "topology": (
+            "CELL_OVERRIDE_FIELDS",
+            "CellTopology",
+            "grid",
+            "hexagonal_cluster",
+            "hotspot",
+            "ring",
+        ),
+        "model": (
+            "CellSolution",
+            "NetworkModel",
+            "NetworkResult",
+            "network_erlang_rates",
+        ),
+        "sweep": (
+            "NetworkSweepPoint",
+            "NetworkSweepResult",
+            "network_sweep_payloads",
+            "run_network_sweep",
+        ),
+    },
+)

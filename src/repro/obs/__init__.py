@@ -17,60 +17,40 @@ vs. off is bitwise identical, and the disabled path costs one contextvar
 read per span site.
 """
 
-from repro.obs.ledger import (
-    SCHEMA,
-    SCHEMA_VERSION,
-    append_record,
-    compare,
-    make_record,
-    read_ledger,
-    render_compare,
-    render_report,
-    resilience_block,
-    service_block,
-    spec_digest,
-    store_block,
-    validate_record,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    absorb_export,
-    activate_registry,
-    current_registry,
-    export_delta,
-    global_registry,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    SpanNode,
-    Tracer,
-    activate_tracer,
-    current_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NULL_TRACER",
-    "SCHEMA",
-    "SCHEMA_VERSION",
-    "MetricsRegistry",
-    "SpanNode",
-    "Tracer",
-    "absorb_export",
-    "activate_registry",
-    "activate_tracer",
-    "append_record",
-    "compare",
-    "current_registry",
-    "current_tracer",
-    "export_delta",
-    "global_registry",
-    "make_record",
-    "read_ledger",
-    "render_compare",
-    "render_report",
-    "resilience_block",
-    "service_block",
-    "store_block",
-    "spec_digest",
-    "validate_record",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ledger": (
+            "SCHEMA",
+            "SCHEMA_VERSION",
+            "append_record",
+            "compare",
+            "make_record",
+            "read_ledger",
+            "render_compare",
+            "render_report",
+            "resilience_block",
+            "service_block",
+            "spec_digest",
+            "store_block",
+            "validate_record",
+        ),
+        "metrics": (
+            "MetricsRegistry",
+            "absorb_export",
+            "activate_registry",
+            "current_registry",
+            "export_delta",
+            "global_registry",
+        ),
+        "trace": (
+            "NULL_TRACER",
+            "SpanNode",
+            "Tracer",
+            "activate_tracer",
+            "current_tracer",
+        ),
+    },
+)

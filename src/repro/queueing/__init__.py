@@ -21,39 +21,28 @@ models that extend the paper's admission and sharing assumptions:
   MAP/M/c/K queue, solved exactly through the block-tridiagonal machinery.
 """
 
-from repro.queueing.engset import EngsetSystem
-from repro.queueing.erlang import (
-    ErlangLossSystem,
-    erlang_b,
-    erlang_b_recursive,
-    erlang_c,
-    offered_load,
-)
-from repro.queueing.fixed_point import FixedPointResult, fixed_point_iteration
-from repro.queueing.guard_channel import GuardChannelSystem
-from repro.queueing.littles_law import (
-    mean_queue_length_from_delay,
-    mean_waiting_time,
-    utilization,
-)
-from repro.queueing.map_queue import MapMcKQueue
-from repro.queueing.mmck import MMcKQueue
-from repro.queueing.priority import PreemptivePrioritySharing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EngsetSystem",
-    "ErlangLossSystem",
-    "FixedPointResult",
-    "GuardChannelSystem",
-    "MMcKQueue",
-    "MapMcKQueue",
-    "PreemptivePrioritySharing",
-    "erlang_b",
-    "erlang_b_recursive",
-    "erlang_c",
-    "fixed_point_iteration",
-    "mean_queue_length_from_delay",
-    "mean_waiting_time",
-    "offered_load",
-    "utilization",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "engset": ("EngsetSystem",),
+        "erlang": (
+            "ErlangLossSystem",
+            "erlang_b",
+            "erlang_b_recursive",
+            "erlang_c",
+            "offered_load",
+        ),
+        "fixed_point": ("FixedPointResult", "fixed_point_iteration"),
+        "guard_channel": ("GuardChannelSystem",),
+        "littles_law": (
+            "mean_queue_length_from_delay",
+            "mean_waiting_time",
+            "utilization",
+        ),
+        "map_queue": ("MapMcKQueue",),
+        "mmck": ("MMcKQueue",),
+        "priority": ("PreemptivePrioritySharing",),
+    },
+)

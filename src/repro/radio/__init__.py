@@ -29,42 +29,31 @@ same degradation to every packet transfer, so model and simulation stay
 comparable.
 """
 
-from repro.radio.arq import (
-    ArqPerformance,
-    analyze_arq,
-    effective_pdch_rate_kbit_s,
-    effective_service_rate,
-    expected_packet_transfer_time,
-    expected_transmissions_per_block,
-    residual_block_loss_probability,
-)
-from repro.radio.bler import (
-    CODING_SCHEME_BLER_PARAMETERS,
-    BlerCurve,
-    block_error_rate,
-    required_ci_for_bler,
-)
-from repro.radio.channel import GilbertElliottChannel
-from repro.radio.link_adaptation import (
-    LinkAdaptationPolicy,
-    best_coding_scheme,
-    switching_thresholds,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArqPerformance",
-    "BlerCurve",
-    "CODING_SCHEME_BLER_PARAMETERS",
-    "GilbertElliottChannel",
-    "LinkAdaptationPolicy",
-    "analyze_arq",
-    "best_coding_scheme",
-    "block_error_rate",
-    "effective_pdch_rate_kbit_s",
-    "effective_service_rate",
-    "expected_packet_transfer_time",
-    "expected_transmissions_per_block",
-    "required_ci_for_bler",
-    "residual_block_loss_probability",
-    "switching_thresholds",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "arq": (
+            "ArqPerformance",
+            "analyze_arq",
+            "effective_pdch_rate_kbit_s",
+            "effective_service_rate",
+            "expected_packet_transfer_time",
+            "expected_transmissions_per_block",
+            "residual_block_loss_probability",
+        ),
+        "bler": (
+            "CODING_SCHEME_BLER_PARAMETERS",
+            "BlerCurve",
+            "block_error_rate",
+            "required_ci_for_bler",
+        ),
+        "channel": ("GilbertElliottChannel",),
+        "link_adaptation": (
+            "LinkAdaptationPolicy",
+            "best_coding_scheme",
+            "switching_thresholds",
+        ),
+    },
+)

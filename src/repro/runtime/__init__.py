@@ -41,91 +41,56 @@ Quickstart::
     print(result.series("packet_loss_probability"))
 """
 
-from repro.runtime.cache import (
-    CODE_VERSION,
-    CacheStats,
-    ResultCache,
-    default_cache_dir,
-    result_key,
-)
-from repro.runtime.executor import (
-    DEFAULT_CHUNK_SIZE,
-    ExecutionOptions,
-    ScenarioRunResult,
-    SweepPoint,
-    current_options,
-    execution_options,
-    run_sweep,
-    sweep_measure_dicts,
-)
-from repro.runtime.faults import (
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    current_fault_plan,
-    inject_faults,
-    parse_fault_spec,
-)
-from repro.runtime.registry import SCENARIOS, list_scenarios, register, scenario
-from repro.runtime.resilience import (
-    DEFAULT_RETRY_POLICY,
-    CancelToken,
-    ResilientPool,
-    RetryPolicy,
-    SweepCheckpoint,
-    SweepFailure,
-    SweepFailureError,
-    TaskCancelledError,
-    cancel_scope,
-    collect_failures,
-    current_cancel_token,
-    payload_digest,
-)
-from repro.runtime.spec import (
-    DEFAULT_METRICS,
-    ScenarioSpec,
-    parameters_from_dict,
-    parameters_to_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CODE_VERSION",
-    "CacheStats",
-    "CancelToken",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_METRICS",
-    "DEFAULT_RETRY_POLICY",
-    "ExecutionOptions",
-    "FaultPlan",
-    "FaultRule",
-    "InjectedFault",
-    "ResilientPool",
-    "ResultCache",
-    "RetryPolicy",
-    "SCENARIOS",
-    "ScenarioRunResult",
-    "ScenarioSpec",
-    "SweepCheckpoint",
-    "SweepFailure",
-    "SweepFailureError",
-    "SweepPoint",
-    "TaskCancelledError",
-    "cancel_scope",
-    "collect_failures",
-    "current_cancel_token",
-    "current_fault_plan",
-    "current_options",
-    "default_cache_dir",
-    "execution_options",
-    "inject_faults",
-    "list_scenarios",
-    "parameters_from_dict",
-    "parameters_to_dict",
-    "parse_fault_spec",
-    "payload_digest",
-    "register",
-    "result_key",
-    "run_sweep",
-    "scenario",
-    "sweep_measure_dicts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": (
+            "CODE_VERSION",
+            "CacheStats",
+            "ResultCache",
+            "default_cache_dir",
+            "result_key",
+        ),
+        "executor": (
+            "DEFAULT_CHUNK_SIZE",
+            "ExecutionOptions",
+            "ScenarioRunResult",
+            "SweepPoint",
+            "current_options",
+            "execution_options",
+            "run_sweep",
+            "sweep_measure_dicts",
+        ),
+        "faults": (
+            "FaultPlan",
+            "FaultRule",
+            "InjectedFault",
+            "current_fault_plan",
+            "inject_faults",
+            "parse_fault_spec",
+        ),
+        "registry": ("SCENARIOS", "list_scenarios", "register", "scenario"),
+        "resilience": (
+            "DEFAULT_RETRY_POLICY",
+            "CancelToken",
+            "ResilientPool",
+            "RetryPolicy",
+            "SweepCheckpoint",
+            "SweepFailure",
+            "SweepFailureError",
+            "TaskCancelledError",
+            "cancel_scope",
+            "collect_failures",
+            "current_cancel_token",
+            "payload_digest",
+        ),
+        "spec": (
+            "DEFAULT_METRICS",
+            "ScenarioSpec",
+            "parameters_from_dict",
+            "parameters_to_dict",
+        ),
+    },
+)

@@ -51,8 +51,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.measures import GprsPerformanceMeasures
-from repro.core.model import GprsMarkovModel
+from repro.core.model import GprsMarkovModel, build_solver_scaffold
 from repro.core.parameters import GprsModelParameters
+from repro.core.template import _fixed_fingerprint
+from repro.network.sweep import network_sweep_payloads
 from repro.obs.metrics import absorb_export, current_registry, export_delta
 from repro.obs.trace import current_tracer
 from repro.runtime.cache import ResultCache, result_key
@@ -67,6 +69,8 @@ from repro.runtime.resilience import (
     report_failure,
 )
 from repro.runtime.spec import ScenarioSpec, parameters_from_dict, parameters_to_dict
+from repro.store.artifacts import artifact_key, current_store
+from repro.transient.sweep import transient_sweep_payloads
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep runtime below experiments
     from repro.experiments.scale import ExperimentScale
@@ -379,9 +383,6 @@ def drive_pipelined(
 # ---------------------------------------------------------------------- #
 def _seed_store_key(params, solver: str, solver_tol: float) -> str:
     """Artifact key of one configuration's warm-seed distribution stack."""
-    from repro.core.template import _fixed_fingerprint
-    from repro.store.artifacts import artifact_key
-
     return artifact_key(
         "warm-seed",
         {
@@ -423,9 +424,6 @@ def _solve_chunk_points(
             model = GprsMarkovModel(params, solver_method=solver, solver_tol=solver_tol)
             results.append(model.solve().measures.as_dict())
         return results, None
-
-    from repro.core.model import build_solver_scaffold
-    from repro.store.artifacts import current_store
 
     store = current_store()
     space = template = context = None
@@ -860,8 +858,6 @@ def run_sweep(
         )
     with collect_failures() as failures:
         if spec.network is not None:
-            from repro.network.sweep import network_sweep_payloads
-
             if chunk_size is not None:
                 # Network sweeps have no point-chunking (cells parallelise
                 # within a point); rejecting the knob beats silently
@@ -887,8 +883,6 @@ def run_sweep(
                 for payload, hit in payloads
             ]
         elif spec.transient is not None:
-            from repro.transient.sweep import transient_sweep_payloads
-
             if chunk_size is not None:
                 # Transient sweeps have no point-chunking (whole trajectories
                 # parallelise); rejecting the knob beats silently ignoring it.

@@ -67,6 +67,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import spawn
 from pathlib import Path
 
 from repro.obs.metrics import current_registry
@@ -106,6 +107,10 @@ _PRELOAD_MODULES = (
     "repro.transient.sweep",
     "repro.network.model",
 )
+
+#: Hands the parent's ``sys_argv`` and ``init_main_from_*`` preparation data
+#: to the forkserver's preload hook, :mod:`repro.runtime.forkserver_main`.
+FORKSERVER_MAIN_ENV = "_REPRO_FORKSERVER_MAIN"
 
 _mp_context = None
 _mp_context_lock = threading.Lock()
@@ -163,10 +168,11 @@ def _pool_mp_context():
                 except ValueError:
                     context = multiprocessing.get_context()
                 if getattr(context, "_name", None) == "forkserver":
-                    # Replaces the default ['__main__'] preload: entry
-                    # scripts are not re-run inside the server, and worker
-                    # forks inherit the whole solver stack instead.
-                    preload = list(_PRELOAD_MODULES)
+                    # The hook runs the entry script (or -m module) once in
+                    # the server, so forked workers inherit it as __main__
+                    # instead of each re-running it; the solver stack
+                    # follows, so workers start with it imported.
+                    preload = ["repro.runtime.forkserver_main", *_PRELOAD_MODULES]
                     if "pytest" in sys.modules:
                         # Workers unpickle test-module functions, and test
                         # modules import pytest -- preload it so that cost
@@ -174,12 +180,21 @@ def _pool_mp_context():
                         # first task's deadline in every fresh worker.
                         preload.append("pytest")
                     context.set_forkserver_preload(preload)
+                    main = {
+                        key: value
+                        for key, value in spawn.get_preparation_data("main").items()
+                        if key == "sys_argv" or key.startswith("init_main_from_")
+                    }
+                    os.environ[FORKSERVER_MAIN_ENV] = json.dumps(main)
                     # Warm the server (spawn + preload imports) *now*, so
                     # task deadlines armed at submission never race the
                     # one-time startup cost.
-                    probe = context.Process(target=_noop, daemon=True)
-                    probe.start()
-                    probe.join()
+                    try:
+                        probe = context.Process(target=_noop, daemon=True)
+                        probe.start()
+                        probe.join()
+                    finally:
+                        os.environ.pop(FORKSERVER_MAIN_ENV, None)
                 _mp_context = context
     return _mp_context
 

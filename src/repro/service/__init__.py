@@ -14,38 +14,26 @@ run provenance; :func:`~repro.service.protocol.canonical_text` defines
 exactly that comparison.
 """
 
-from repro.service.admission import (
-    AdmissionQueue,
-    Draining,
-    Overloaded,
-    RequestJournal,
-    RequestTimeout,
-)
-from repro.service.client import DEFAULT_URL, ServiceClient, ServiceError
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    canonical_payload,
-    canonical_text,
-    normalise_request,
-    request_key,
-)
-from repro.service.server import ScenarioService, create_server, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "DEFAULT_URL",
-    "Draining",
-    "Overloaded",
-    "PROTOCOL_VERSION",
-    "RequestJournal",
-    "RequestTimeout",
-    "ScenarioService",
-    "ServiceClient",
-    "ServiceError",
-    "canonical_payload",
-    "canonical_text",
-    "create_server",
-    "normalise_request",
-    "request_key",
-    "serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "admission": (
+            "AdmissionQueue",
+            "Draining",
+            "Overloaded",
+            "RequestJournal",
+            "RequestTimeout",
+        ),
+        "client": ("DEFAULT_URL", "ServiceClient", "ServiceError"),
+        "protocol": (
+            "PROTOCOL_VERSION",
+            "canonical_payload",
+            "canonical_text",
+            "normalise_request",
+            "request_key",
+        ),
+        "server": ("ScenarioService", "create_server", "serve"),
+    },
+)

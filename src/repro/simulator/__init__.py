@@ -14,22 +14,17 @@ reported with 95% batch-means confidence intervals.
 Public entry point: :class:`~repro.simulator.simulation.GprsNetworkSimulator`.
 """
 
-from repro.simulator.cell import Cell
-from repro.simulator.cluster import HexagonalCluster
-from repro.simulator.config import SimulationConfig
-from repro.simulator.radio import rlc_blocks_per_packet, transmission_time
-from repro.simulator.results import CellMeasurements, SimulationResults
-from repro.simulator.simulation import GprsNetworkSimulator
-from repro.simulator.tcp import TcpConnection
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cell",
-    "CellMeasurements",
-    "GprsNetworkSimulator",
-    "HexagonalCluster",
-    "SimulationConfig",
-    "SimulationResults",
-    "TcpConnection",
-    "rlc_blocks_per_packet",
-    "transmission_time",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cell": ("Cell",),
+        "cluster": ("HexagonalCluster",),
+        "config": ("SimulationConfig",),
+        "radio": ("rlc_blocks_per_packet", "transmission_time"),
+        "results": ("CellMeasurements", "SimulationResults"),
+        "simulation": ("GprsNetworkSimulator",),
+        "tcp": ("TcpConnection",),
+    },
+)

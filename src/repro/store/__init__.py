@@ -14,28 +14,22 @@ See :mod:`repro.store.artifacts` for the implementation and
 tier warm across many requests.
 """
 
-from repro.store.artifacts import (
-    DEFAULT_MEMORY_BYTES,
-    DEFAULT_STORE_BYTES,
-    STORE_DIR_ENV,
-    ArtifactStore,
-    StoreStats,
-    artifact_key,
-    current_store,
-    default_store,
-    default_store_dir,
-    store_context,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_MEMORY_BYTES",
-    "DEFAULT_STORE_BYTES",
-    "STORE_DIR_ENV",
-    "ArtifactStore",
-    "StoreStats",
-    "artifact_key",
-    "current_store",
-    "default_store",
-    "default_store_dir",
-    "store_context",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "artifacts": (
+            "DEFAULT_MEMORY_BYTES",
+            "DEFAULT_STORE_BYTES",
+            "STORE_DIR_ENV",
+            "ArtifactStore",
+            "StoreStats",
+            "artifact_key",
+            "current_store",
+            "default_store",
+            "default_store_dir",
+            "store_context",
+        ),
+    },
+)

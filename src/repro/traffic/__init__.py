@@ -21,60 +21,40 @@ purposes of the Markov model; this subpackage provides
   measures) and fitting the 3GPP/IPP model to a packet trace.
 """
 
-from repro.traffic.applications import (
-    APPLICATION_PRESETS,
-    ApplicationMix,
-    MixComponent,
-    application,
-)
-from repro.traffic.presets import (
-    TRAFFIC_MODEL_1,
-    TRAFFIC_MODEL_2,
-    TRAFFIC_MODEL_3,
-    TRAFFIC_MODELS,
-    traffic_model,
-)
-from repro.traffic.sampling import PacketCallTrace, SessionSampler, SessionTrace
-from repro.traffic.session import PacketSessionModel
-from repro.traffic.statistics import (
-    TraceStatistics,
-    compute_trace_statistics,
-    detect_packet_calls,
-    fit_ipp,
-    fit_session_model,
-)
-from repro.traffic.units import (
-    CODING_SCHEME_RATES_KBIT_S,
-    DATA_PACKET_SIZE_BYTES,
-    bits_per_packet,
-    kbit_per_s_to_packets_per_s,
-    packets_per_s_to_kbit_per_s,
-    pdch_service_rate,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "APPLICATION_PRESETS",
-    "ApplicationMix",
-    "CODING_SCHEME_RATES_KBIT_S",
-    "DATA_PACKET_SIZE_BYTES",
-    "MixComponent",
-    "PacketCallTrace",
-    "PacketSessionModel",
-    "SessionSampler",
-    "SessionTrace",
-    "TRAFFIC_MODELS",
-    "TRAFFIC_MODEL_1",
-    "TRAFFIC_MODEL_2",
-    "TRAFFIC_MODEL_3",
-    "TraceStatistics",
-    "application",
-    "bits_per_packet",
-    "compute_trace_statistics",
-    "detect_packet_calls",
-    "fit_ipp",
-    "fit_session_model",
-    "kbit_per_s_to_packets_per_s",
-    "packets_per_s_to_kbit_per_s",
-    "pdch_service_rate",
-    "traffic_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "applications": (
+            "APPLICATION_PRESETS",
+            "ApplicationMix",
+            "MixComponent",
+            "application",
+        ),
+        "presets": (
+            "TRAFFIC_MODEL_1",
+            "TRAFFIC_MODEL_2",
+            "TRAFFIC_MODEL_3",
+            "TRAFFIC_MODELS",
+            "traffic_model",
+        ),
+        "sampling": ("PacketCallTrace", "SessionSampler", "SessionTrace"),
+        "session": ("PacketSessionModel",),
+        "statistics": (
+            "TraceStatistics",
+            "compute_trace_statistics",
+            "detect_packet_calls",
+            "fit_ipp",
+            "fit_session_model",
+        ),
+        "units": (
+            "CODING_SCHEME_RATES_KBIT_S",
+            "DATA_PACKET_SIZE_BYTES",
+            "bits_per_packet",
+            "kbit_per_s_to_packets_per_s",
+            "packets_per_s_to_kbit_per_s",
+            "pdch_service_rate",
+        ),
+    },
+)

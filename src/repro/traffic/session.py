@@ -18,12 +18,15 @@ For the Markov model the session is mapped onto an interrupted Poisson process
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.markov.mmpp import InterruptedPoissonProcess
 from repro.traffic.units import (
     DATA_PACKET_SIZE_BYTES,
     packets_per_s_to_kbit_per_s,
 )
+
+if TYPE_CHECKING:
+    from repro.markov.mmpp import InterruptedPoissonProcess
 
 __all__ = ["PacketSessionModel"]
 
@@ -127,6 +130,10 @@ class PacketSessionModel:
 
     def to_ipp(self) -> InterruptedPoissonProcess:
         """Return the interrupted Poisson process representation of one session."""
+        # Deferred: markov.mmpp loads scipy.sparse, which the model parameters
+        # (and so ``gprs-repro list``) never need.
+        from repro.markov.mmpp import InterruptedPoissonProcess
+
         return InterruptedPoissonProcess(
             packet_rate=self.packet_rate,
             on_to_off_rate=self.on_to_off_rate,

@@ -38,59 +38,39 @@ Quickstart::
     print(result.series("packet_loss_probability"))
 """
 
-# schedule has no intra-package dependencies, model depends on schedule and
-# sweep on both.  Nothing here imports repro.runtime at module level (sweep
-# defers those imports into its functions): the runtime package reaches into
+# No submodule here imports repro.runtime at module level (sweep defers
+# those imports into its functions): the runtime package reaches into
 # repro.transient.schedule for its scenario registry, and the dependency must
 # stay one-directional for both packages to import standalone.
-from repro.transient.schedule import (
-    SEGMENT_OVERRIDE_FIELDS,
-    RateSchedule,
-    ScheduleSegment,
-    WorkloadProfile,
-    busy_hour_ramp,
-    constant_workload,
-    diurnal_cycle,
-    flash_crowd,
-    outage_recovery,
-)
-from repro.transient.model import (
-    SegmentTrace,
-    TrajectoryPoint,
-    TransientModel,
-    TransientResult,
-)
-from repro.transient.propagator import (
-    PropagatorCache,
-    SegmentReplay,
-    default_propagator_cache,
-)
-from repro.transient.sweep import (
-    TransientSweepPoint,
-    TransientSweepResult,
-    run_transient_sweep,
-    transient_sweep_payloads,
-)
 
-__all__ = [
-    "SEGMENT_OVERRIDE_FIELDS",
-    "PropagatorCache",
-    "RateSchedule",
-    "ScheduleSegment",
-    "SegmentReplay",
-    "SegmentTrace",
-    "TrajectoryPoint",
-    "TransientModel",
-    "TransientResult",
-    "TransientSweepPoint",
-    "TransientSweepResult",
-    "WorkloadProfile",
-    "busy_hour_ramp",
-    "constant_workload",
-    "default_propagator_cache",
-    "diurnal_cycle",
-    "flash_crowd",
-    "outage_recovery",
-    "run_transient_sweep",
-    "transient_sweep_payloads",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "schedule": (
+            "SEGMENT_OVERRIDE_FIELDS",
+            "RateSchedule",
+            "ScheduleSegment",
+            "WorkloadProfile",
+            "busy_hour_ramp",
+            "constant_workload",
+            "diurnal_cycle",
+            "flash_crowd",
+            "outage_recovery",
+        ),
+        "model": (
+            "SegmentTrace",
+            "TrajectoryPoint",
+            "TransientModel",
+            "TransientResult",
+        ),
+        "propagator": ("PropagatorCache", "SegmentReplay", "default_propagator_cache"),
+        "sweep": (
+            "TransientSweepPoint",
+            "TransientSweepResult",
+            "run_transient_sweep",
+            "transient_sweep_payloads",
+        ),
+    },
+)

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.parameters import GprsModelParameters
 from repro.obs.metrics import current_registry
+from repro.store.artifacts import artifact_key, current_store
 
 __all__ = [
     "ENTRY_OVERHEAD_BYTES",
@@ -150,9 +151,7 @@ class SegmentReplay:
 
 
 def _store_key(key: str) -> str:
-    """Artifact-store key of one segment digest (lazy import: see module)."""
-    from repro.store.artifacts import artifact_key
-
+    """Artifact-store key of one segment digest."""
     return artifact_key("propagator", {"segment": key})
 
 
@@ -226,8 +225,6 @@ class PropagatorCache:
 
     def _resolve_store(self):
         if self.store == "ambient":
-            from repro.store.artifacts import current_store
-
             return current_store()
         return self.store
 

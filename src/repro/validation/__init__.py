@@ -20,41 +20,27 @@ reusable, testable checks:
   any start, converge to) the steady-state solver's measures.
 """
 
-from repro.validation.comparison import (
-    CurveComparison,
-    PointComparison,
-    ValidationReport,
-    compare_model_with_simulation,
-    compare_series,
-)
-from repro.validation.network import HomogeneityCheck, check_network_homogeneity
-from repro.validation.transient import (
-    TransientAnchorCheck,
-    check_transient_steady_state,
-)
-from repro.validation.shapes import (
-    crossover_points,
-    curves_are_ordered,
-    find_threshold_crossing,
-    fraction_within_tolerance,
-    is_monotone,
-    relative_spread,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CurveComparison",
-    "HomogeneityCheck",
-    "check_network_homogeneity",
-    "PointComparison",
-    "TransientAnchorCheck",
-    "ValidationReport",
-    "check_transient_steady_state",
-    "compare_model_with_simulation",
-    "compare_series",
-    "crossover_points",
-    "curves_are_ordered",
-    "find_threshold_crossing",
-    "fraction_within_tolerance",
-    "is_monotone",
-    "relative_spread",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "comparison": (
+            "CurveComparison",
+            "PointComparison",
+            "ValidationReport",
+            "compare_model_with_simulation",
+            "compare_series",
+        ),
+        "network": ("HomogeneityCheck", "check_network_homogeneity"),
+        "transient": ("TransientAnchorCheck", "check_transient_steady_state"),
+        "shapes": (
+            "crossover_points",
+            "curves_are_ordered",
+            "find_threshold_crossing",
+            "fraction_within_tolerance",
+            "is_monotone",
+            "relative_spread",
+        ),
+    },
+)

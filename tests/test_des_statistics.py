@@ -145,6 +145,21 @@ class TestBatchMeans:
         assert interval.half_width == pytest.approx(expected_half)
         assert interval.batches == n
 
+    @pytest.mark.parametrize("confidence_level", [0.8, 0.9, 0.95, 0.98, 0.99])
+    def test_quantile_is_bitwise_students_t(self, confidence_level):
+        # The estimator calls scipy.special.stdtrit; scipy.stats stays the
+        # independent oracle and the two must agree to the last bit.
+        for n in range(2, 501):
+            values = [0.0] * (n - 1) + [float(n)]  # grand mean exactly 1.0
+            estimator = BatchMeansEstimator(confidence_level=confidence_level)
+            for value in values:
+                estimator.add_batch_mean(value)
+            interval = estimator.confidence_interval()
+            variance = sum((value - 1.0) ** 2 for value in values) / (n - 1)
+            standard_error = math.sqrt(variance / n)
+            quantile = stats.t.ppf(0.5 + confidence_level / 2.0, df=n - 1)
+            assert interval.half_width == float(quantile) * standard_error, n
+
     def test_interval_contains_and_bounds(self):
         estimator = BatchMeansEstimator()
         for value in (1.0, 2.0, 3.0):

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
 import repro.des as des
-import repro.experiments as experiments
 import repro.markov as markov
 import repro.queueing as queueing
 import repro.simulator as simulator
-import repro.traffic as traffic
 
 
 class TestTopLevelExports:
@@ -27,18 +28,35 @@ class TestTopLevelExports:
         assert repro.traffic_model(3).number == 3
 
 
-@pytest.mark.parametrize(
-    "module",
-    [markov, queueing, traffic, des, simulator, experiments],
-    ids=lambda module: module.__name__,
+#: Every package of the library; each declares its exports lazily.
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
 )
-class TestSubpackageExports:
-    def test_all_names_resolve(self, module):
-        assert module.__all__, f"{module.__name__} exports nothing"
-        for name in module.__all__:
-            assert hasattr(module, name), f"{module.__name__}.{name}"
 
-    def test_docstring_present(self, module):
+
+@pytest.mark.parametrize("name", PACKAGES)
+class TestSubpackageExports:
+    def test_all_names_resolve(self, name):
+        module = importlib.import_module(name)
+        assert module.__all__, f"{name} exports nothing"
+        listing = dir(module)
+        for export in module.__all__:
+            assert hasattr(module, export), f"{name}.{export}"
+            assert export in listing, f"{name}.{export} missing from dir()"
+
+    def test_star_import_binds_every_export(self, name):
+        namespace: dict = {}
+        exec(f"from {name} import *", namespace)
+        assert set(importlib.import_module(name).__all__) <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(name), "no_such_export")
+
+    def test_docstring_present(self, name):
+        module = importlib.import_module(name)
         assert module.__doc__ and len(module.__doc__.strip()) > 40
 
 

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,46 @@ class TestWorkerEnvParity:
         monkeypatch.delenv(self.PROBE)
         with ResilientPool(1) as pool:
             assert pool.run(_read_env, [self.PROBE], site="cell") == [None]
+
+
+class TestEntryPointRunsOnce:
+    """Pool workers must not re-run the parent's entry point.
+
+    The forkserver imports it once; workers and the warm-up probe fork from
+    the server and inherit it, so its top level runs in the parent and the
+    server only -- whatever the worker count.
+    """
+
+    ENTRY = textwrap.dedent(
+        """
+        import os
+        with open(os.environ["PID_LOG"], "a") as log:
+            log.write(f"{os.getpid()}\\n")
+        from repro.runtime.resilience import ResilientPool
+
+        if __name__ == "__main__":
+            with ResilientPool(2) as pool:
+                assert pool.run(abs, [-1, -2, -3, -4], site="cell") == [1, 2, 3, 4]
+        """
+    )
+
+    @pytest.mark.parametrize("as_module", [False, True], ids=["script", "module"])
+    def test_top_level_runs_in_at_most_two_processes(self, tmp_path, as_module):
+        (tmp_path / "pool_entry.py").write_text(self.ENTRY)
+        log = tmp_path / "pids.log"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PID_LOG=str(log), PYTHONPATH=f"{src}{os.pathsep}{tmp_path}")
+        target = ["-m", "pool_entry"] if as_module else [str(tmp_path / "pool_entry.py")]
+        proc = subprocess.run(
+            [sys.executable, *target],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(set(log.read_text().split())) <= 2
 
 
 class TestFailureSink:
